@@ -7,13 +7,21 @@ point and walks the suffix hulls through Python objects, and the support
 solver runs two Python-level passes.  That is ideal as a readable reference,
 but the §1.3 catalog workload ("all combinations of hundreds of numeric and
 Boolean attributes") calls the solvers thousands of times per relation, so
-this module re-implements both in structure-of-arrays form:
+this module re-implements both with numpy:
 
-* :func:`fast_maximize_ratio` keeps the cumulative points as two parallel
-  ``float64`` arrays (hoisted into plain Python float lists, which are much
-  faster to index than numpy scalars) and drives the convex-hull-tree sweep
-  of Algorithm 4.2 with an int index stack and a flat branch arena — no
-  ``Point`` is ever allocated and no function call happens inside the sweep.
+* :func:`fast_maximize_ratio` answers integral profiles — every confidence
+  or support profile built from a relation — with an exact parametric
+  search (Dinkelbach's fractional-programming iteration, Management Science
+  1967).  Holding the best ratio so far as an exact pair ``num/den``, one
+  round is a handful of whole-array operations: the table
+  ``G = V*den - P*num`` over the prefix points, its running minimum, and
+  the best gain of every end against its farthest ample anchor.  A positive
+  gain names a strictly better range; two or three rounds settle a
+  thousand-bucket catalog profile.  Profiles outside the exactness envelope
+  below (float §5 average sums, huge counts) take the structure-of-arrays
+  convex-hull-tree sweep of Algorithm 4.2 instead, which allocates no
+  ``Point`` and calls no function inside the sweep.  The choice depends on
+  the input only.
 * :func:`fast_maximize_support` replaces both passes of Algorithms 4.3/4.4
   with closed-form numpy reductions: the effective indices fall out of a
   running minimum of the cumulative gain table, and every ``top(s)`` pointer
@@ -22,22 +30,33 @@ this module re-implements both in structure-of-arrays form:
 
 Parity guarantee
 ----------------
-Both functions evaluate exactly the same floating-point comparisons as the
-reference implementations (identical operand ordering in the cross products
-and cumulative-sum tables), so on profiles whose intermediate products are
-exactly representable — in particular integer tuple counts below 2**53,
-which covers every confidence/support profile built from a relation — they
-return *bit-identical* ``RangeSelection`` results, including tie-breaking.
-The oracle tests in ``tests/core/test_fastpath.py`` enforce this.
+Every result is *bit-identical* to the reference implementations, including
+tie-breaking (larger tuple count, then smaller start), wherever the
+arithmetic is exact:
 
-The defensive invariant check of the reference sweep is preserved: if the
-remembered stack position of the previous terminating point ever disagrees
-with the hull stack, a :class:`repro.exceptions.HullInvariantWarning` is
-emitted and the scan restarts from the hull's left end.
+* the parametric search runs only inside its envelope — integral sizes and
+  values with ``4 * max|V| * P[M] <= 2**53`` for the prefix sums ``P``/``V``
+  — where every product and difference it forms is an integer float64
+  represents exactly, so its answers are exact by construction;
+* the hull sweep and :func:`fast_maximize_support` evaluate the same
+  floating-point comparisons as the reference implementations (identical
+  operand ordering in the cross products and cumulative-sum tables), so they
+  agree whenever those products are exact — in particular on integer tuple
+  counts below 2**53.
+
+The oracle tests in ``tests/core/test_fastpath.py`` and
+``tests/core/test_fastpath_scale.py`` enforce this.
+
+The hull sweep keeps the defensive invariant check of the reference sweep:
+if the remembered stack position of the previous terminating point ever
+disagrees with the hull stack, a :class:`repro.exceptions.HullInvariantWarning`
+is emitted and the scan restarts from the hull's left end.  The parametric
+search keeps no hull, so it never warns.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Sequence
 
@@ -64,6 +83,9 @@ __all__ = [
 # the rectangle band workloads versus 8e6-element chunks.
 _PAIR_TENSOR_ELEMENTS = 100_000
 
+# Integers up to this magnitude are exactly representable in float64.
+_EXACT_INTEGER_LIMIT = 2.0**53
+
 
 def fast_maximize_ratio(
     sizes: Sequence[float] | np.ndarray,
@@ -71,30 +93,160 @@ def fast_maximize_ratio(
     min_support_count: float,
     total: float | None = None,
 ) -> RangeSelection | None:
-    """Array-native optimized-confidence sweep (Algorithm 4.2).
+    """Array-native optimized-confidence solver (Definition 4.2).
 
     Same contract as :func:`repro.core.optimized_confidence.maximize_ratio`:
     among ranges of consecutive buckets whose tuple count reaches
     ``min_support_count``, return the one maximizing ``Σv / Σu`` (ties broken
-    towards the larger tuple count), or ``None`` when no range is ample.
+    towards the larger tuple count, then the smaller start), or ``None`` when
+    no range is ample.  Inside the exactness envelope the answer comes from
+    :func:`_parametric_search`; outside it, from :func:`_hull_sweep`.
     """
     sizes, values = validate_bucket_arrays(sizes, values)
-    num_buckets = sizes.shape[0]
     total = float(sizes.sum()) if total is None else float(total)
-    min_support_count = float(min_support_count)
-    if min_support_count < 0:
-        min_support_count = 0.0
+    min_support_count = max(float(min_support_count), 0.0)
 
     prefix_sizes = np.concatenate(([0.0], np.cumsum(sizes)))
     prefix_values = np.concatenate(([0.0], np.cumsum(values)))
     if prefix_sizes[-1] < min_support_count:
         return None
 
+    if _within_exact_envelope(sizes, values, prefix_sizes, prefix_values):
+        pair = _parametric_search(prefix_sizes, prefix_values, min_support_count)
+    else:
+        pair = _hull_sweep(prefix_sizes, prefix_values, min_support_count)
+    if pair is None:
+        return None
+    best_anchor, best_end = pair
+    return RangeSelection(
+        start=best_anchor,
+        end=best_end - 1,
+        support_count=float(prefix_sizes[best_end] - prefix_sizes[best_anchor]),
+        objective_value=float(prefix_values[best_end] - prefix_values[best_anchor]),
+        total_count=total,
+    )
+
+
+def _within_exact_envelope(
+    sizes: np.ndarray,
+    values: np.ndarray,
+    prefix_sizes: np.ndarray,
+    prefix_values: np.ndarray,
+) -> bool:
+    """Whether every step of :func:`_parametric_search` is exact in float64.
+
+    Sizes and values must be integral, and ``4 * max|V| * P[M]`` must not
+    exceed ``2**53``: every quantity the search forms (``V*den``, ``P*num``,
+    their difference ``G`` and a difference of two ``G`` values) is then an
+    integer of magnitude at most ``2**53``, hence exactly representable.
+    """
+    if not (np.array_equal(sizes, np.rint(sizes)) and np.array_equal(values, np.rint(values))):
+        return False
+    value_bound = max(float(np.max(np.abs(prefix_values))), 1.0)
+    return 4.0 * value_bound * float(prefix_sizes[-1]) <= _EXACT_INTEGER_LIMIT
+
+
+def _parametric_search(
+    prefix_sizes: np.ndarray,
+    prefix_values: np.ndarray,
+    min_support_count: float,
+    incumbents: list[tuple[int, int]] | None = None,
+) -> tuple[int, int]:
+    """Exact Dinkelbach search for the optimal slope pair ``(anchor, end)``.
+
+    With the incumbent ratio held as the exact pair ``num/den``, the table
+    ``G = V*den - P*num`` turns the ratio test of a pair into a difference:
+    ``G[n] - G[m] > 0`` exactly when range ``m+1..n`` beats the incumbent.
+    The best partner of end ``n`` is the minimum of ``G`` over its ample
+    anchors ``0..a(n)`` — one running minimum for all ends at once — and
+    the pair of largest gain becomes the next incumbent.  The ratio strictly
+    increases every round, so the loop terminates; at its fixed point the
+    zero-gain pairs are exactly the optimal-ratio pairs.
+
+    Requires :func:`_within_exact_envelope` and an ample range
+    (``P[M] >= min_support_count``).  ``incumbents``, when given, receives
+    every incumbent pair in order (the seed first), so tests can observe
+    the rounds.
+    """
+    num_buckets = prefix_sizes.shape[0] - 1
+    # P is integral, so P[n] - P[m] >= s exactly when P[n] - P[m] >= ceil(s);
+    # requiring at least one tuple also forces m < n.  P[n] - required is an
+    # exact integer, so one binary search yields every farthest ample anchor
+    # a(n) without rounding.  a(n) is non-decreasing in n, so the ends that
+    # have one form the suffix first_end..M.
+    required = float(max(math.ceil(min_support_count), 1))
+    first_end = int(np.searchsorted(prefix_sizes, required, side="left"))
+    anchors = (
+        np.searchsorted(prefix_sizes, prefix_sizes[first_end:] - required, side="right") - 1
+    )
+    last_anchor = int(anchors[-1])
+
+    # Seed with the best minimal ample window (a(n), n); any ample pair
+    # would do, a good one saves rounds.
+    window_ratios = (prefix_values[first_end:] - prefix_values[anchors]) / (
+        prefix_sizes[first_end:] - prefix_sizes[anchors]
+    )
+    seed = int(np.argmax(window_ratios))
+    anchor, end = int(anchors[seed]), first_end + seed
+    num = prefix_values[end] - prefix_values[anchor]
+    den = prefix_sizes[end] - prefix_sizes[anchor]
+    if incumbents is not None:
+        incumbents.append((anchor, end))
+
+    while True:
+        table = prefix_values * den - prefix_sizes * num
+        running_minimum = np.minimum.accumulate(table[: last_anchor + 1])
+        gains = table[first_end:] - running_minimum[anchors]
+        winner = int(np.argmax(gains))
+        if gains[winner] <= 0:
+            break
+        end = first_end + winner
+        anchor = int(np.argmin(table[: int(anchors[winner]) + 1]))
+        candidate_num = prefix_values[end] - prefix_values[anchor]
+        candidate_den = prefix_sizes[end] - prefix_sizes[anchor]
+        # Accept only a strictly better ratio by exact cross product: the
+        # guard that makes the loop terminate.
+        if candidate_num * den - num * candidate_den <= 0:
+            break
+        num, den = candidate_num, candidate_den
+        if incumbents is not None:
+            incumbents.append((anchor, end))
+
+    # Fixed point: the optimal pairs are the zero-gain ends.  Per end the
+    # largest count comes from the first index attaining the running
+    # minimum; across ends the largest count wins, then the smaller start.
+    records = np.empty(last_anchor + 1, dtype=bool)
+    records[0] = True
+    records[1:] = table[1 : last_anchor + 1] < running_minimum[:-1]
+    first_minimum = np.maximum.accumulate(
+        np.where(records, np.arange(last_anchor + 1), 0)
+    )
+    optimal = np.flatnonzero(gains == 0)
+    optimal_ends = first_end + optimal
+    optimal_anchors = first_minimum[anchors[optimal]]
+    counts = prefix_sizes[optimal_ends] - prefix_sizes[optimal_anchors]
+    widest = counts == counts.max()
+    winner = int(np.argmin(np.where(widest, optimal_anchors, num_buckets)))
+    return int(optimal_anchors[winner]), int(optimal_ends[winner])
+
+
+def _hull_sweep(
+    prefix_sizes: np.ndarray, prefix_values: np.ndarray, min_support_count: float
+) -> tuple[int, int] | None:
+    """Structure-of-arrays convex-hull-tree sweep of Algorithm 4.2.
+
+    The fallback for profiles outside the parametric search's exactness
+    envelope (float §5 average sums, huge counts).  It evaluates the same
+    floating-point comparisons as the object-based reference, operand for
+    operand, so the two agree bit for bit wherever those products are exact.
+    Returns the optimal ``(anchor, end)`` prefix-index pair, or ``None``.
+    """
     # Structure-of-arrays representation of the cumulative points Q_0..Q_M.
     # Plain lists make scalar indexing ~5x faster than numpy item access.
     x = prefix_sizes.tolist()
     y = prefix_values.tolist()
-    num_points = num_buckets + 1
+    num_points = len(x)
+    num_buckets = num_points - 1
 
     # -- preparatory phase (Algorithm 4.1): right-to-left hull scan ---------
     # Vertices popped when Q_i is inserted form the branch D_i; every point
@@ -178,7 +330,7 @@ def fast_maximize_ratio(
                         f"{anchor} (expected point {tangent_end} at position "
                         f"{resume_position}); falling back to a clockwise rescan",
                         HullInvariantWarning,
-                        stacklevel=2,
+                        stacklevel=3,
                     )
                     scan_clockwise = True
                     resume_position = -1
@@ -239,13 +391,7 @@ def fast_maximize_ratio(
 
     if best_anchor < 0:
         return None
-    return RangeSelection(
-        start=best_anchor,
-        end=best_end - 1,
-        support_count=float(prefix_sizes[best_end] - prefix_sizes[best_anchor]),
-        objective_value=float(prefix_values[best_end] - prefix_values[best_anchor]),
-        total_count=total,
-    )
+    return best_anchor, best_end
 
 
 def _effective_starts(cumulative_gain: np.ndarray, num_buckets: int) -> np.ndarray:

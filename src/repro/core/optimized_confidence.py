@@ -26,18 +26,23 @@ from ``Q_m`` to that hull.  Three ingredients keep the total work linear:
 :class:`~repro.core.rules.RangeSelection` result type shared with the other
 solvers.
 
-Two interchangeable engines implement the sweep:
+Two interchangeable engines implement the solver:
 
-* ``engine="fast"`` (the default) — the structure-of-arrays implementation
-  of :func:`repro.core.fastpath.fast_maximize_ratio`, which allocates no
-  ``Point`` objects;
+* ``engine="fast"`` (the default) — :func:`repro.core.fastpath.fast_maximize_ratio`.
+  Integral profiles (every confidence/support profile built from a
+  relation) inside its exactness envelope — ``4 * max|V| * P[M] <= 2**53``
+  over the prefix sums — are answered by an exact vectorized parametric
+  search (Dinkelbach's iteration) rather than this sweep; everything else
+  (float §5 average sums, huge counts) falls back to a structure-of-arrays
+  port of the sweep below, which allocates no ``Point`` objects;
 * ``engine="reference"`` — the object-based implementation below
   (:func:`maximize_ratio_reference`), kept as the readable, paper-faithful
   oracle the fast path is differentially tested against.
 
-Both evaluate identical floating-point comparisons, so they return
-bit-identical selections whenever the cross products are exact (integer
-tuple counts below 2**53 — every profile built from a relation).
+Both return bit-identical selections, tie-breaking included, whenever the
+arithmetic is exact (integer tuple counts below 2**53 — every profile built
+from a relation).  :class:`~repro.exceptions.HullInvariantWarning` comes
+only from the sweeps: this reference and the fast engine's fallback.
 """
 
 from __future__ import annotations
